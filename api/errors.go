@@ -33,8 +33,8 @@ const (
 	// panic). HTTP 500.
 	CodeInternal ErrorCode = "internal"
 	// CodePlacementInfeasible rejects a placement no fleet could serve:
-	// session parameters under the paper's n > 4k + 3t floor, an unknown
-	// strategy, or a contradictory pinned-peer list. HTTP 400.
+	// an unknown strategy, an out-of-range n or t, or a contradictory
+	// pinned-peer list. HTTP 400.
 	CodePlacementInfeasible ErrorCode = "placement_infeasible"
 	// CodeFleetUnderFloor rejects a placement the fleet cannot serve
 	// right now: fewer healthy daemons than the requested minimum, or a

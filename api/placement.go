@@ -67,7 +67,8 @@ type PlacementAssignment struct {
 type PlacementView struct {
 	// Strategy is the effective strategy (defaults made explicit).
 	Strategy string `json:"strategy"`
-	// Floor is the spec's 4k + 3t + 1 player floor.
+	// Floor is the smallest player count the spec's theorem admits: its
+	// resilience bound plus one (5 for Theorem 4.1 at k=0, t=1).
 	Floor int `json:"floor"`
 	// Daemons counts the distinct daemons used.
 	Daemons int `json:"daemons"`

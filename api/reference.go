@@ -59,7 +59,7 @@ var errorCodeDocs = []struct {
 	{CodePoolSaturated, "worker queue full; the request had no effect — back off and retry"},
 	{CodeNotReady, "daemon booting (store recovery) or draining for shutdown"},
 	{CodeInternal, "unexpected server fault (recovered panic)"},
-	{CodePlacementInfeasible, "no fleet could place this spec: n under the n > 4k+3t floor, unknown strategy, or contradictory pinned peers"},
+	{CodePlacementInfeasible, "no fleet could place this request: unknown strategy, out-of-range n or t, or contradictory pinned peers"},
 	{CodeFleetUnderFloor, "the fleet cannot place this right now: too few healthy daemons for min_daemons, or a strict placement's fault budget is unattainable — retry when the fleet recovers"},
 }
 
@@ -118,8 +118,8 @@ func Reference() string {
 	b.WriteString("daemon consults its gossip fleet view, filters suspect/expired/shedding\n")
 	b.WriteString("peers, and spreads the players across healthy daemons least-loaded\n")
 	b.WriteString("first, deterministically (ties break on the sorted daemon URL). Specs\n")
-	b.WriteString("under the paper's n > 4k+3t floor are rejected as\n")
-	b.WriteString("`placement_infeasible`; fleets too unhealthy for the requested\n")
+	b.WriteString("under their theorem's bound are rejected at validation as\n")
+	b.WriteString("`invalid_argument`; fleets too unhealthy for the requested\n")
 	b.WriteString("placement answer `fleet_under_floor`. `POST /v1/cluster/plan` dry-runs\n")
 	b.WriteString("the same decision; the chosen assignment rides the SessionView as\n")
 	b.WriteString("`placement`.\n")

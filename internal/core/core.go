@@ -81,6 +81,15 @@ func (v Variant) Bound(k, t int) int {
 	}
 }
 
+// boundConditions spells out each theorem's resilience bound for error
+// messages; Bound is the one that is checked.
+var boundConditions = map[Variant]string{
+	Exact41:   "4.1 needs n > 4k+4t",
+	Epsilon42: "4.2 needs n > 3k+3t",
+	Punish44:  "4.4 needs n > 3k+4t",
+	Punish45:  "4.5 needs n > 2k+3t",
+}
+
 // Params configures the cheap-talk compilation.
 type Params struct {
 	// Game is the underlying Bayesian game.
@@ -119,22 +128,19 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("core: need k+t >= 1 (k=%d t=%d)", p.K, p.T)
 	}
 	n := p.Game.N
+	cond, ok := boundConditions[p.Variant]
+	if !ok {
+		return fmt.Errorf("core: unknown variant %v", p.Variant)
+	}
+	if n < p.Variant.Bound(p.K, p.T) {
+		return fmt.Errorf("core: Theorem %s (n=%d k=%d t=%d)", cond, n, p.K, p.T)
+	}
 	switch p.Variant {
-	case Exact41:
-		if n <= 4*p.K+4*p.T {
-			return fmt.Errorf("core: Theorem 4.1 needs n > 4k+4t (n=%d k=%d t=%d)", n, p.K, p.T)
-		}
 	case Epsilon42:
-		if n <= 3*p.K+3*p.T {
-			return fmt.Errorf("core: Theorem 4.2 needs n > 3k+3t (n=%d k=%d t=%d)", n, p.K, p.T)
-		}
 		if p.Epsilon <= 0 {
 			return fmt.Errorf("core: Theorem 4.2 needs epsilon > 0")
 		}
 	case Punish44:
-		if n <= 3*p.K+4*p.T {
-			return fmt.Errorf("core: Theorem 4.4 needs n > 3k+4t (n=%d k=%d t=%d)", n, p.K, p.T)
-		}
 		if len(p.Punishment) != n {
 			return fmt.Errorf("core: Theorem 4.4 needs a punishment profile of length %d", n)
 		}
@@ -142,9 +148,6 @@ func (p *Params) Validate() error {
 			return fmt.Errorf("core: Theorem 4.4 needs the AH approach (punishment lives in wills)")
 		}
 	case Punish45:
-		if n <= 2*p.K+3*p.T {
-			return fmt.Errorf("core: Theorem 4.5 needs n > 2k+3t (n=%d k=%d t=%d)", n, p.K, p.T)
-		}
 		if len(p.Punishment) != n {
 			return fmt.Errorf("core: Theorem 4.5 needs a punishment profile of length %d", n)
 		}
@@ -154,8 +157,6 @@ func (p *Params) Validate() error {
 		if p.Epsilon <= 0 {
 			return fmt.Errorf("core: Theorem 4.5 needs epsilon > 0")
 		}
-	default:
-		return fmt.Errorf("core: unknown variant %v", p.Variant)
 	}
 	if p.Circuit.N() != n {
 		return fmt.Errorf("core: circuit built for %d players, game has %d", p.Circuit.N(), n)

@@ -5,9 +5,8 @@
 // this one code path, so concurrency behaviour (queue bounds, drain
 // semantics, worker indexing) is defined exactly once.
 //
-// Each worker carries its index so downstream consumers can shard state
-// per worker (the farm's stats sink keys its lock-free counter shards on
-// it).
+// Each worker passes its index to the job, so a consumer can keep
+// per-worker state.
 package pool
 
 import (

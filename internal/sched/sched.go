@@ -1,12 +1,10 @@
 // Package sched is the fleet placement scheduler: given a session's
-// (n, k, t) and the gossip-derived fleet view, it decides which daemon
-// hosts which player. It is the control-plane half of the paper's
-// threshold story — a mediator-free play only exists when n > 4k + 3t
-// correct machines actually co-host it (Abraham-Dolev-Geffner-Halpern,
-// PODC 2019; the bound is tight per Abraham-Dolev-Halpern 2008) — so the
-// scheduler refuses specs under that floor outright and, per strategy,
-// refuses or flags fleets whose failure domains cannot absorb t daemon
-// losses.
+// player count n and fault budget t and the gossip-derived fleet view, it
+// decides which daemon hosts which player. It is the control-plane half
+// of the paper's threshold story: per strategy, it refuses or flags
+// fleets whose failure domains cannot absorb t daemon losses. The
+// theorems' bounds on n are not restated here; every spec reaching the
+// scheduler has already passed core.Params.Validate.
 //
 // The package is pure: inputs are a Request plus a candidate list, the
 // output a deterministic Placement. Equal-load candidates tie-break on
@@ -39,8 +37,8 @@ const (
 	StrategyStrict = "strict"
 )
 
-// ErrInfeasible marks a spec no fleet could place: parameters under the
-// paper's n > 4k + 3t floor, or a contradictory fixed-peer list.
+// ErrInfeasible marks a request no fleet could place: an unknown
+// strategy, out-of-range parameters, or a contradictory fixed-peer list.
 var ErrInfeasible = errors.New("sched: placement infeasible")
 
 // ErrUnderFloor marks a fleet currently too small or too unhealthy for
@@ -65,8 +63,8 @@ type Daemon struct {
 
 // Request asks for one placement.
 type Request struct {
-	// N, K, T are the play's parameters; N > 4K + 3T is enforced.
-	N, K, T int
+	// N is the play's player count, T its malicious-player budget.
+	N, T int
 	// Strategy is one of the Strategy constants ("" = spread).
 	Strategy string
 	// Fixed pins players to daemons (a caller-supplied partial peers
@@ -74,12 +72,13 @@ type Request struct {
 	Fixed []api.PeerSpec
 	// MinDaemons refuses placements using fewer distinct healthy daemons
 	// than this (0: no constraint). Callers typically pass the fleet's
-	// configured floor when they want hard n > 4k + 3t domain isolation.
+	// configured floor when they want hard failure-domain isolation.
 	MinDaemons int
 }
 
 // Placement is an alias of the wire DTO: the scheduler's output IS the
-// contract type, so the service and the plan endpoint serve it as-is.
+// contract type. The scheduler leaves Floor zero; the service fills it
+// from the spec's theorem bound.
 type Placement = api.PlacementView
 
 // Candidates distills a fleet view into the scheduler's candidate list.
@@ -115,13 +114,8 @@ func Place(req Request, daemons []Daemon) (Placement, error) {
 	default:
 		return Placement{}, fmt.Errorf("%w: unknown strategy %q", ErrInfeasible, req.Strategy)
 	}
-	if req.N <= 0 || req.K < 0 || req.T < 0 {
-		return Placement{}, fmt.Errorf("%w: n=%d k=%d t=%d out of range", ErrInfeasible, req.N, req.K, req.T)
-	}
-	floor := 4*req.K + 3*req.T + 1
-	if req.N < floor {
-		return Placement{}, fmt.Errorf("%w: n=%d violates n > 4k+3t (need n >= %d for k=%d, t=%d)",
-			ErrInfeasible, req.N, floor, req.K, req.T)
+	if req.N <= 0 || req.T < 0 {
+		return Placement{}, fmt.Errorf("%w: n=%d t=%d out of range", ErrInfeasible, req.N, req.T)
 	}
 
 	fixed := make(map[int]string, len(req.Fixed))
@@ -201,7 +195,7 @@ func Place(req Request, daemons []Daemon) (Placement, error) {
 		h.placed++
 	}
 
-	pl := Placement{Strategy: strategy, Floor: floor}
+	pl := Placement{Strategy: strategy}
 	used := make([]*hostLoad, 0, len(byURL))
 	for _, h := range byURL {
 		if h.players(assign) != nil {

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"asyncmediator/api"
+	"asyncmediator/internal/core"
+	"asyncmediator/internal/game"
+	"asyncmediator/internal/mediator"
 )
 
 func healthy(url string, self bool, queue, sessions int) Daemon {
@@ -32,9 +35,9 @@ func placed(t *testing.T, req Request, daemons []Daemon) Placement {
 }
 
 func TestSpreadIsEvenAndDeterministic(t *testing.T) {
-	req := Request{N: 5, K: 0, T: 1}
+	req := Request{N: 5, T: 1}
 	first := placed(t, req, threeIdle())
-	if first.Strategy != StrategySpread || first.Daemons != 3 || first.Floor != 4 {
+	if first.Strategy != StrategySpread || first.Daemons != 3 {
 		t.Fatalf("placement header: %+v", first)
 	}
 	// 5 players over 3 idle daemons: 2/2/1, coordinator first among
@@ -66,7 +69,7 @@ func TestSpreadPrefersLeastLoaded(t *testing.T) {
 		healthy("http://b", false, 0, 0),
 		healthy("http://c", false, 0, 1),
 	}
-	pl := placed(t, Request{N: 4, K: 0, T: 1}, daemons)
+	pl := placed(t, Request{N: 4, T: 1}, daemons)
 	counts := map[string]int{}
 	for _, a := range pl.Assignments {
 		counts[a.Addr] = len(a.Players)
@@ -105,15 +108,24 @@ func TestSingleDaemonDegeneratesToLocalPlay(t *testing.T) {
 	}
 }
 
+// TestFloorBoundaryExactly: core.Params.Validate is the only judge of a
+// theorem's bound. For every variant, core admits n = Bound(k,t) and
+// Place places it; at Bound(k,t)-1 core refuses, and placement adds no
+// refusal of its own.
 func TestFloorBoundaryExactly(t *testing.T) {
-	// n = 4k + 3t is rejected; n = 4k + 3t + 1 is the tight bound.
-	for _, tc := range []struct{ k, t int }{{0, 1}, {1, 0}, {1, 1}, {2, 3}} {
-		floor := 4*tc.k + 3*tc.t + 1
-		if _, err := Place(Request{N: floor - 1, K: tc.k, T: tc.t}, threeIdle()); !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("k=%d t=%d n=%d: err=%v, want ErrInfeasible", tc.k, tc.t, floor-1, err)
-		}
-		if _, err := Place(Request{N: floor, K: tc.k, T: tc.t}, threeIdle()); err != nil {
-			t.Fatalf("k=%d t=%d n=%d (at floor): %v", tc.k, tc.t, floor, err)
+	variants := []core.Variant{core.Exact41, core.Epsilon42, core.Punish44, core.Punish45}
+	for _, v := range variants {
+		for _, kt := range []struct{ k, t int }{{0, 1}, {1, 0}, {1, 1}} {
+			bound := v.Bound(kt.k, kt.t)
+			for _, n := range []int{bound - 1, bound} {
+				verr := consensusParams(t, n, kt.k, kt.t, v).Validate()
+				if (verr == nil) != (n == bound) {
+					t.Fatalf("%v k=%d t=%d n=%d: core.Validate = %v", v, kt.k, kt.t, n, verr)
+				}
+				if _, err := Place(Request{N: n, T: kt.t}, threeIdle()); err != nil {
+					t.Fatalf("%v k=%d t=%d n=%d: placement refused: %v", v, kt.k, kt.t, n, err)
+				}
+			}
 		}
 	}
 	if _, err := Place(Request{N: 0}, nil); !errors.Is(err, ErrInfeasible) {
@@ -121,6 +133,21 @@ func TestFloorBoundaryExactly(t *testing.T) {
 	}
 	if _, err := Place(Request{N: 5, T: -1}, nil); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("t=-1: %v", err)
+	}
+}
+
+// consensusParams is the majority-consensus play at (n, k, t) under v —
+// a game valid at every n, so Validate judges only the theorem's bound.
+func consensusParams(t *testing.T, n, k, tf int, v core.Variant) *core.Params {
+	t.Helper()
+	circ, err := mediator.MajorityCircuit(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &core.Params{
+		Game: game.ConsensusGame(n), Circuit: circ, K: k, T: tf,
+		Variant: v, Approach: game.ApproachAH,
+		Punishment: make(game.Profile, n), Epsilon: 0.1,
 	}
 }
 
@@ -237,7 +264,7 @@ func TestTieBreakIsSortedURL(t *testing.T) {
 		healthy("http://z", true, 0, 0),
 		healthy("http://b", false, 0, 0),
 	}
-	pl := placed(t, Request{N: 3, T: 0, K: 0}, daemons)
+	pl := placed(t, Request{N: 3, T: 0}, daemons)
 	got := make([]string, 0, 3)
 	for _, a := range pl.Assignments {
 		got = append(got, fmt.Sprintf("%s=%d", a.Addr, len(a.Players)))

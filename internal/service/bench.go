@@ -46,8 +46,8 @@ type BenchResult struct {
 }
 
 // Bench drives `cfg.Sessions` plays through a fresh farm via the same
-// registry/pool/sink path the HTTP API uses, and reports aggregate
-// throughput. It is the measurement behind BenchmarkServiceThroughput and
+// registry/pool/stats path the HTTP API uses, and reports aggregate
+// throughput from the farm's own play statistics. It is the measurement behind BenchmarkServiceThroughput and
 // cmd/mediatord's -bench mode.
 func Bench(cfg BenchConfig) (*BenchResult, error) {
 	if cfg.Sessions <= 0 {
@@ -95,7 +95,7 @@ func Bench(cfg BenchConfig) (*BenchResult, error) {
 	tot := svc.Stats().StatsTotals
 
 	res := &BenchResult{
-		Sessions:      cfg.Sessions,
+		Sessions:      int(tot.Sessions),
 		Failed:        tot.Failed,
 		Elapsed:       elapsed,
 		TotalMessages: tot.MessagesSent,

@@ -198,18 +198,12 @@ func (s *Service) FleetView() (api.FleetView, bool) {
 // observePhases folds a terminal play's phase spans into the rolling
 // phase-latency histogram (the p99 gossiped in the health summary).
 // Runs once per session on the worker goroutine — zero hot-path cost.
-func (s *Service) observePhases(tv *api.TraceView) {
-	if s.phaseHist == nil || tv == nil {
+func (s *Service) observePhases(phases []phaseSpan) {
+	if s.phaseHist == nil {
 		return
 	}
-	for _, sp := range tv.Spans {
-		switch sp.Name {
-		case "run", "sched":
-			continue // stages, not protocol phases
-		}
-		if d := sp.EndUS - sp.StartUS; d > 0 {
-			s.phaseHist.Observe(float64(d) / 1e6)
-		}
+	for _, p := range phases {
+		s.phaseHist.Observe(float64(p.us) / 1e6)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"asyncmediator/api"
@@ -114,6 +115,12 @@ func TestV1ErrorContract(t *testing.T) {
 	}
 	status, e = postEnvelope(t, client, ts.URL+"/v1/sessions/"+created.ID+"/types", `{"types":[0,0,0,0,0]}`)
 	expectCode(t, status, e, api.CodeConflict)
+	// Let the conflict session's play end first: the saturation check
+	// below must not depend on how long that play holds the one worker.
+	var done View
+	if code, err := getJSON(t, client, ts.URL+"/v1/sessions/"+created.ID+"?wait=30s", &done); err != nil || code != http.StatusOK || !done.State.Terminal() {
+		t.Fatalf("conflict session not terminal: %d %v %s", code, err, done.State)
+	}
 
 	// pool_saturated: fill the single worker and the depth-1 queue with
 	// blocking jobs, then submit types — the rejection must carry the
@@ -122,15 +129,24 @@ func TestV1ErrorContract(t *testing.T) {
 	if code, err := postJSON(t, client, ts.URL+"/v1/sessions", Spec{}, &sess2); err != nil || code != http.StatusCreated {
 		t.Fatalf("create 2: %d %v", code, err)
 	}
+	// The blockers are released in cleanup too, so a failed assertion
+	// returns instead of leaving svc.Close waiting on a parked worker.
 	release := make(chan struct{})
-	for i := 0; i < 2; i++ { // 1 running + 1 queued = saturated
-		if err := svc.pool.TrySubmit(func(int) { <-release }); err != nil {
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	// The worker may still be persisting the terminal play, so the
+	// blockers go in with the blocking Submit: the second returns only
+	// once the worker has taken the first — 1 running + 1 queued =
+	// saturated.
+	for i := 0; i < 2; i++ {
+		if err := svc.pool.Submit(func(int) { <-release }); err != nil {
 			t.Fatalf("block pool: %v", err)
 		}
 	}
 	status, e = postEnvelope(t, client, ts.URL+"/v1/sessions/"+sess2.ID+"/types", `{"types":[0,0,0,0,0]}`)
 	expectCode(t, status, e, api.CodePoolSaturated)
-	close(release)
+	unblock()
 	// The rejected submission rolled back: the retry is accepted.
 	deadlineRetry := func() int {
 		for i := 0; i < 100; i++ {

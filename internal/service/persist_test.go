@@ -310,18 +310,17 @@ func TestViewBinaryContract(t *testing.T) {
 // TestSinkDurationHistograms feeds known durations and checks the
 // per-variant quantile summaries the farm serves in /stats and /metrics.
 func TestSinkDurationHistograms(t *testing.T) {
-	s := NewSink(2)
-	defer s.Close()
+	s := newPlayStats()
 	// 90 fast plays and 10 slow ones under variant 4.1; one other variant.
 	for i := 0; i < 90; i++ {
-		s.Record(0, Record{Variant: "4.1", Duration: 2 * time.Millisecond})
+		s.record(Record{Variant: "4.1", Duration: 2 * time.Millisecond})
 	}
 	for i := 0; i < 10; i++ {
-		s.Record(1, Record{Variant: "4.1", Duration: 700 * time.Millisecond})
+		s.record(Record{Variant: "4.1", Duration: 700 * time.Millisecond})
 	}
-	s.Record(0, Record{Variant: "4.4", Duration: 80 * time.Millisecond})
+	s.record(Record{Variant: "4.4", Duration: 80 * time.Millisecond})
 
-	tot := s.Snapshot()
+	tot := s.snapshot()
 	ds, ok := tot.Durations["4.1"]
 	if !ok {
 		t.Fatalf("no histogram for 4.1: %+v", tot.Durations)

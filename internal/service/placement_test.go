@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -150,8 +151,8 @@ func TestClusterPlanPredictsSpread(t *testing.T) {
 	if resp.HealthyDaemons != 3 || resp.Placement.Daemons != 3 {
 		t.Fatalf("plan %+v", resp)
 	}
-	if resp.Placement.Floor != 4 {
-		t.Fatalf("floor %d for k=0 t=1, want 4", resp.Placement.Floor)
+	if resp.Placement.Floor != 5 {
+		t.Fatalf("floor %d for Theorem 4.1 at k=0 t=1, want 5", resp.Placement.Floor)
 	}
 	if got := coord.Stats().SessionsCreated; got != 0 {
 		t.Fatalf("plan created %d sessions", got)
@@ -173,9 +174,9 @@ func TestClusterPlanPredictsSpread(t *testing.T) {
 	}
 }
 
-// TestPlacementRefusalCodes pins the two refusal codes to their HTTP
-// faces: a spec under the paper's n > 4k+3t floor answers 400
-// placement_infeasible; a fleet smaller than the requested min_daemons
+// TestPlacementRefusalCodes pins the refusals to their HTTP faces: a
+// spec under its theorem's bound answers 400 invalid_argument from core
+// before placement runs; a fleet smaller than the requested min_daemons
 // answers 503 fleet_under_floor (retryable).
 func TestPlacementRefusalCodes(t *testing.T) {
 	_, ts := httpFarm(t, Config{Workers: 1}) // fleetless: 1 usable daemon
@@ -188,9 +189,10 @@ func TestPlacementRefusalCodes(t *testing.T) {
 		return resp, env
 	}
 
-	resp, env := post(api.SessionSpec{Game: "consensus", N: 4, K: 1, Variant: "4.2"})
-	if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != api.CodePlacementInfeasible {
-		t.Fatalf("under-floor spec: %d %+v", resp.StatusCode, env.Error)
+	resp, env := post(api.SessionSpec{Game: "consensus", N: 3, K: 1, Variant: "4.2"})
+	if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != api.CodeInvalidArgument ||
+		!strings.Contains(env.Error.Message, "needs n > 3k+3t") {
+		t.Fatalf("under-bound spec: %d %+v", resp.StatusCode, env.Error)
 	}
 
 	resp, env = post(api.SessionSpec{N: 5, T: 1, Placement: &api.PlacementSpec{Mode: api.PlacementModeAuto, MinDaemons: 5}})
@@ -219,6 +221,44 @@ func TestPlacementRefusalCodes(t *testing.T) {
 	_, rejects := svc.placementCounts()
 	if rejects["under_floor"] != 1 {
 		t.Fatalf("rejection counters %v", rejects)
+	}
+}
+
+// TestClusterPlanFloorIsCoreBound: for every theorem variant the plan
+// endpoint admits n = Bound(k,t), reporting that bound as the floor, and
+// refuses Bound(k,t)-1 with core's message. Theorem 4.2 at n=4, k=1 is
+// the play a restated n > 4k+3t floor used to refuse.
+func TestClusterPlanFloorIsCoreBound(t *testing.T) {
+	_, ts := httpFarm(t, Config{Workers: 1})
+	httpc := ts.Client()
+	for _, c := range []struct {
+		variant string
+		k, t    int
+		bound   int
+	}{
+		{"4.1", 0, 1, 5}, {"4.1", 1, 0, 5},
+		{"4.2", 1, 0, 4}, {"4.2", 1, 1, 7},
+		{"4.4", 1, 0, 4}, {"4.4", 0, 1, 5},
+		{"4.5", 0, 1, 4}, {"4.5", 1, 1, 6},
+	} {
+		for _, n := range []int{c.bound - 1, c.bound} {
+			spec := api.SessionSpec{Game: "consensus", N: n, K: c.k, T: c.t, Variant: c.variant}
+			key := fmt.Sprintf("plan-%s-%d-%d-%d", c.variant, c.k, c.t, n)
+			var body json.RawMessage
+			resp := postKeyed(t, httpc, ts.URL+"/v1/cluster/plan", key, api.ClusterPlanRequest{Spec: spec}, &body)
+			if n == c.bound {
+				var plan api.ClusterPlanResponse
+				if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &plan) != nil || plan.Placement.Floor != c.bound {
+					t.Fatalf("%+v: %d %s, want 200 with floor %d", spec, resp.StatusCode, body, c.bound)
+				}
+				continue
+			}
+			var env api.ErrorEnvelope
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &env) != nil || env.Error == nil ||
+				env.Error.Code != api.CodeInvalidArgument || !strings.Contains(env.Error.Message, "Theorem "+c.variant+" needs n >") {
+				t.Fatalf("%+v: %d %s, want 400 invalid_argument from core", spec, resp.StatusCode, body)
+			}
+		}
 	}
 }
 

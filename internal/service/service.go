@@ -5,7 +5,7 @@
 // that makes the replacement operational — a registry of sessions backed
 // by a durable store (internal/store: WAL + snapshots, crash recovery), a
 // bounded worker pool executing them with per-session deterministic
-// seeds, a contention-free statistics sink with per-variant latency
+// seeds, one play-statistics aggregate with per-variant latency
 // histograms, an event bus (internal/events) pushing state transitions to
 // SSE and long-poll clients, and an HTTP/JSON control surface (http.go)
 // suitable for a daemon (cmd/mediatord).
@@ -178,7 +178,7 @@ type Service struct {
 	reg    *Registry
 	pool   *pool.Pool
 	engine *sim.Engine
-	sink   *Sink
+	stats  *playStats
 	bus    *events.Bus
 	st     *store.Store // nil: memory-only
 	start  time.Time
@@ -223,7 +223,7 @@ type Service struct {
 
 	// obsReg is the farm's metric registry: subsystem gauges/counters
 	// (cluster links, worker pool, store) registered at boot and
-	// rendered into /metrics alongside the sink's play statistics.
+	// rendered into /metrics alongside the play statistics.
 	obsReg *obs.Registry
 
 	// phaseHist aggregates per-phase protocol latencies across plays
@@ -284,7 +284,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:          cfg,
 		reg:          NewRegistry(cfg.BaseSeed, cfg.MaxN, cfg.MaxLiveSessions, st),
-		sink:         NewSink(cfg.Workers),
+		stats:        newPlayStats(),
 		bus:          events.NewBus(),
 		st:           st,
 		stopc:        make(chan struct{}),
@@ -313,7 +313,6 @@ func New(cfg Config) (*Service, error) {
 			_ = st.Close()
 		}
 		s.bus.Close()
-		s.sink.Close()
 		return nil, err
 	}
 	// The telemetry plane (trace retention + SLO engine) boots before the
@@ -433,7 +432,7 @@ func (s *Service) SubmitTypes(id string, types []game.Type) (*Session, error) {
 	// Announce queued before the pool can run it, so subscribers observe
 	// lifecycle order.
 	s.publish(kindSession, sess.ID, StateQueued, nil)
-	if err := s.pool.TrySubmit(func(worker int) { s.exec(worker, sess) }); err != nil {
+	if err := s.pool.TrySubmit(func(int) { s.exec(sess) }); err != nil {
 		sess.rollback() // the client may resubmit after backoff
 		s.publish(kindSession, sess.ID, StateAwaitingTypes, nil)
 		return nil, err
@@ -449,12 +448,13 @@ func (s *Service) Experiments(id string, o sim.Options) (*sim.Table, error) {
 	return s.engine.Run(id, o)
 }
 
-// exec runs one session on its backend, persists and announces the
-// terminal state, and folds the outcome into the sink. It is the
-// worker-pool callback.
-func (s *Service) exec(worker int, sess *Session) {
+// exec runs one session on its backend, folds the outcome into the play
+// statistics, marks the session terminal, observes, persists and
+// announces it, and only then closes Done, so a reader woken by Done
+// finds every one of those effects. It is the worker-pool callback.
+func (s *Service) exec(sess *Session) {
 	s.publish(kindSession, sess.ID, StateRunning, nil)
-	types := sess.begin()
+	types, started := sess.begin()
 	tr := sess.beginTrace(!s.cfg.DisableTracing)
 	endRun := tr.Begin("run", originLocal)
 	cpu0 := obs.CPUTime()
@@ -470,7 +470,7 @@ func (s *Service) exec(worker int, sess *Session) {
 	peers := sess.Spec.Peers
 	if sess.Spec.Placement != nil {
 		var pl sched.Placement
-		if pl, err = s.placeSession(sess.Spec, sess.params.Game.N); err == nil {
+		if pl, err = s.placeSession(sess.Spec, sess.params); err == nil {
 			sess.setPlacement(&pl)
 			peers = pl.Peers
 		}
@@ -492,18 +492,34 @@ func (s *Service) exec(worker int, sess *Session) {
 		tr.Annotate("run", originLocal, "cpu_ms",
 			strconv.FormatFloat(float64(cpu)/float64(time.Millisecond), 'f', 3, 64))
 	}
-	sess.finish(prof, res, err)
+	// The play counts before it turns terminal, so no reader sees a
+	// terminal session missing from Stats(), /metrics or Bench.
+	end := time.Now()
+	rec := Record{
+		Failed:   err != nil,
+		Variant:  sess.Spec.Variant,
+		Duration: end.Sub(started),
+	}
+	if err == nil {
+		rec.Deadlocked = res.Deadlocked
+		rec.Steps = int64(res.Stats.Steps)
+		rec.Sent = int64(res.Stats.MessagesSent)
+		rec.Delivered = int64(res.Stats.MessagesDelivered)
+		rec.ProfileKey = prof.Key()
+	}
+	s.stats.record(rec)
+	sess.finish(prof, res, err, end)
 
 	view := sess.Snapshot()
-	// Fold the play's phase spans into the rolling latency histogram
-	// whose p99 rides the fleet gossip (one walk per terminal session).
-	s.observePhases(view.Trace)
-	// Feed the SLO objectives and retain the compacted trace on the
-	// telemetry ring. With retention on, the session record spills lean
-	// (trace stripped): the ring is the trace's durable home, so the
-	// session tier stops duplicating span data it never queries.
-	s.observeSLO(view)
-	s.retainTrace(view)
+	// One walk over the play's spans feeds the rolling phase-latency
+	// histogram whose p99 rides the fleet gossip, the SLO objectives and
+	// the retained trace's digest. With retention on, the session record
+	// spills lean (trace stripped): the ring is the trace's durable home,
+	// so the session tier stops duplicating span data it never queries.
+	phases := protocolPhases(view.Trace)
+	s.observePhases(phases)
+	s.observeSLO(view, phases)
+	s.retainTrace(view, phases)
 	lean := view
 	if s.traces != nil {
 		lean.Trace = nil
@@ -516,20 +532,7 @@ func (s *Service) exec(worker int, sess *Session) {
 	// The terminal event carries the full snapshot (trace included), so a
 	// subscriber needs no follow-up GET.
 	s.publish(kindSession, view.ID, view.State, view)
-
-	rec := Record{
-		Failed:   err != nil,
-		Variant:  sess.Spec.Variant,
-		Duration: sess.duration(),
-	}
-	if err == nil {
-		rec.Deadlocked = res.Deadlocked
-		rec.Steps = int64(res.Stats.Steps)
-		rec.Sent = int64(res.Stats.MessagesSent)
-		rec.Delivered = int64(res.Stats.MessagesDelivered)
-		rec.ProfileKey = prof.Key()
-	}
-	s.sink.Record(worker, rec)
+	sess.markDone()
 }
 
 // StatsView is the farm-level aggregate exposed at GET /v1/stats — the
@@ -538,7 +541,7 @@ type StatsView = api.Stats
 
 // Stats aggregates the farm counters.
 func (s *Service) Stats() StatsView {
-	tot := s.sink.Snapshot()
+	tot := s.stats.snapshot()
 	up := time.Since(s.start).Seconds()
 	v := StatsView{
 		StatsTotals:        tot,
@@ -580,8 +583,8 @@ func (s *Service) Stats() StatsView {
 // Close drains the farm: intake stops, queued and running sessions finish
 // (and persist), experiment-job drivers run their remaining shards inline
 // against the closed pool and persist, the store takes a final compacted
-// snapshot, the event bus closes every subscriber, then the stats
-// collector exits.
+// snapshot, then the event bus closes every subscriber. The play
+// statistics stay readable after Close.
 func (s *Service) Close() {
 	s.beginShutdown()
 	// The SLO ticker parks on stopc; wait it out before the bus (its
@@ -611,5 +614,4 @@ func (s *Service) Close() {
 		_ = s.st.Close()
 	}
 	s.bus.Close()
-	s.sink.Close()
 }

@@ -172,8 +172,7 @@ func TestFarmBackpressureSurfacesQueueFull(t *testing.T) {
 
 func TestSinkShardedAggregation(t *testing.T) {
 	const workers, perWorker = 8, 500
-	s := NewSink(workers)
-	defer s.Close()
+	s := newPlayStats()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -181,7 +180,7 @@ func TestSinkShardedAggregation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				s.Record(w, Record{
+				s.record(Record{
 					Steps: 2, Sent: 3, Delivered: 1,
 					Deadlocked: i%10 == 0,
 					ProfileKey: fmt.Sprintf("p%d", w%2),
@@ -190,7 +189,7 @@ func TestSinkShardedAggregation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	tot := s.Snapshot()
+	tot := s.snapshot()
 	want := int64(workers * perWorker)
 	if tot.Sessions != want {
 		t.Fatalf("sessions: got %d want %d", tot.Sessions, want)
@@ -210,6 +209,34 @@ func TestSinkShardedAggregation(t *testing.T) {
 	}
 	if len(tot.Outcomes) != 2 {
 		t.Fatalf("want 2 distinct outcomes, got %v", tot.Outcomes)
+	}
+}
+
+// TestStatsIncludePlayAtDone: a play is in the farm statistics by the
+// time its Done() closes, so a reader woken by Done never sees a lagging
+// count — neither through Stats() nor through Bench's totals.
+func TestStatsIncludePlayAtDone(t *testing.T) {
+	svc := newFarm(t, Config{Workers: 2})
+	defer svc.Close()
+	for i := 0; i < 200; i++ {
+		sess, err := svc.CreateSession(Spec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.SubmitTypes(sess.ID, make([]game.Type, 5)); err != nil {
+			t.Fatal(err)
+		}
+		<-sess.Done()
+		if got := svc.Stats().Sessions; got != int64(i+1) {
+			t.Fatalf("after play %d's Done: stats count %d sessions", i+1, got)
+		}
+	}
+	res, err := Bench(BenchConfig{Sessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sessions != 1 || res.SessionsPerSec <= 0 {
+		t.Fatalf("Bench(1) reported %d sessions at %.1f/s", res.Sessions, res.SessionsPerSec)
 	}
 }
 
@@ -292,6 +319,6 @@ func TestGracefulCloseDrainsQueuedSessions(t *testing.T) {
 		}
 	}
 	if tot := svc.Stats().StatsTotals; tot.Sessions != n {
-		t.Fatalf("sink saw %d sessions, want %d", tot.Sessions, n)
+		t.Fatalf("stats saw %d sessions, want %d", tot.Sessions, n)
 	}
 }

@@ -242,13 +242,14 @@ func (s *Session) rollback() {
 	s.types = nil
 }
 
-// begin moves the session to Running and returns its type profile.
-func (s *Session) begin() []game.Type {
+// begin moves the session to Running and returns its type profile and
+// start time.
+func (s *Session) begin() ([]game.Type, time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.state = StateRunning
 	s.started = time.Now()
-	return s.types
+	return s.types, s.started
 }
 
 // beginTrace mints the session's play trace — the id is derived from
@@ -280,10 +281,11 @@ func (s *Session) tracer() *obs.PlayTrace {
 	return s.trace
 }
 
-// finish records the outcome and closes Done. The play trace — complete
-// by now: the run ended and any peer spans are stitched — is compacted
-// to its flat view and the buffer released.
-func (s *Session) finish(profile game.Profile, res *async.Result, err error) {
+// finish records the outcome, ended at end, and marks the session
+// terminal. The play trace — complete by now: the run ended and any peer
+// spans are stitched — is compacted to its flat view and the buffer
+// released. Done stays open until markDone.
+func (s *Session) finish(profile game.Profile, res *async.Result, err error, end time.Time) {
 	s.mu.Lock()
 	if err != nil {
 		s.state = StateFailed
@@ -295,21 +297,13 @@ func (s *Session) finish(profile game.Profile, res *async.Result, err error) {
 	}
 	s.traceV = traceView(s.trace)
 	s.trace = nil
-	s.finished = time.Now()
+	s.finished = end
 	s.mu.Unlock()
-	close(s.done)
 }
 
-// duration returns the wall time the session spent running (zero until
-// terminal).
-func (s *Session) duration() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.state.Terminal() || s.started.IsZero() {
-		return 0
-	}
-	return s.finished.Sub(s.started)
-}
+// markDone closes Done. The farm calls it once the terminal play is
+// counted, observed, persisted and announced.
+func (s *Session) markDone() { close(s.done) }
 
 // Snapshot returns a consistent view of the session.
 func (s *Session) Snapshot() View {

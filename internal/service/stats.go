@@ -1,10 +1,12 @@
 package service
 
 import (
-	"sync/atomic"
+	"maps"
+	"sync"
 	"time"
 
 	"asyncmediator/api"
+	"asyncmediator/internal/obs"
 )
 
 // Record is one completed session's contribution to the farm statistics.
@@ -23,93 +25,12 @@ type Record struct {
 	Duration time.Duration
 }
 
-// shard is one worker's private slice of the numeric counters. The
-// trailing pad keeps shards on distinct cache lines so concurrent workers
-// never false-share.
-type shard struct {
-	sessions   atomic.Int64
-	failed     atomic.Int64
-	deadlocked atomic.Int64
-	steps      atomic.Int64
-	sent       atomic.Int64
-	delivered  atomic.Int64
-	_          [64]byte
-}
-
 // durBounds are the histogram bucket upper bounds in seconds (exponential,
 // ms to minute scale — a hosted play is milliseconds in the simulator and
 // can reach seconds on the wire backend). The final implicit bucket is
 // +Inf.
 var durBounds = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-}
-
-// durHist is one variant's duration histogram; owned by the collector
-// goroutine, so no locks.
-type durHist struct {
-	counts []int64 // len(durBounds)+1: the last slot is the overflow bucket
-	sum    float64
-	n      int64
-}
-
-func newDurHist() *durHist {
-	return &durHist{counts: make([]int64, len(durBounds)+1)}
-}
-
-func (h *durHist) add(sec float64) {
-	i := 0
-	for i < len(durBounds) && sec > durBounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.sum += sec
-	h.n++
-}
-
-// quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// inside the containing bucket; the overflow bucket reports its lower
-// bound (the largest finite boundary).
-func (h *durHist) quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	target := q * float64(h.n)
-	var cum int64
-	for i, c := range h.counts {
-		if float64(cum+c) >= target {
-			if i == len(durBounds) {
-				return durBounds[len(durBounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = durBounds[i-1]
-			}
-			hi := durBounds[i]
-			if c == 0 {
-				return hi
-			}
-			frac := (target - float64(cum)) / float64(c)
-			return lo + frac*(hi-lo)
-		}
-		cum += c
-	}
-	return durBounds[len(durBounds)-1]
-}
-
-// snapshot renders the histogram for Totals.
-func (h *durHist) snapshot() DurationStats {
-	ds := DurationStats{
-		Count:      h.n,
-		Sum:        h.sum,
-		P50Seconds: h.quantile(0.50),
-		P99Seconds: h.quantile(0.99),
-		Buckets:    make([]int64, len(h.counts)),
-	}
-	copy(ds.Buckets, h.counts)
-	if h.n > 0 {
-		ds.MeanSeconds = h.sum / float64(h.n)
-	}
-	return ds
 }
 
 // DurationStats is one variant's session-duration summary: the wire
@@ -123,180 +44,74 @@ func DurationBounds() []float64 {
 	return out
 }
 
-// durSample is one session duration en route to the collector.
-type durSample struct {
-	variant string
-	sec     float64
-}
-
-// maxDurationVariants caps the duration histogram's label cardinality:
-// each distinct variant is one Prometheus series (buckets + sum + count),
-// and an unbounded label set is how expositions melt scrapers. Samples
-// beyond the cap aggregate under VariantOverflow.
-const maxDurationVariants = 32
-
-// VariantOverflow is the catch-all duration-histogram label once
-// maxDurationVariants distinct variants exist.
-const VariantOverflow = "_other"
-
-// histograms is the collector-owned map state returned by a snapshot
-// request.
-type histograms struct {
-	outcomes  map[string]int64
-	durations map[string]DurationStats
-}
-
-// Sink aggregates Records without a global mutex. Numeric counters are
-// sharded per worker (lock-free atomics, one cache line each); the
-// outcome-profile histogram and the per-variant duration histograms —
-// maps, which atomics cannot shard — are owned by a single collector
-// goroutine fed over channels, so they too have no lock. Snapshot sums the
-// shards and asks the collector for copies.
-type Sink struct {
-	shards []shard
-	outc   chan string
-	durc   chan durSample
-	snapc  chan chan histograms
-	donec  chan struct{}
-	closed atomic.Bool
-}
-
-// NewSink creates a sink with one counter shard per worker.
-func NewSink(workers int) *Sink {
-	if workers < 1 {
-		workers = 1
-	}
-	s := &Sink{
-		shards: make([]shard, workers),
-		outc:   make(chan string, 256),
-		durc:   make(chan durSample, 256),
-		snapc:  make(chan chan histograms),
-		donec:  make(chan struct{}),
-	}
-	go s.collect()
-	return s
-}
-
-// collect owns the outcome and duration histograms.
-func (s *Sink) collect() {
-	outcomes := make(map[string]int64)
-	durs := make(map[string]*durHist)
-	addDur := func(d durSample) {
-		h := durs[d.variant]
-		if h == nil {
-			if len(durs) >= maxDurationVariants {
-				// Cardinality cap: route the sample to the overflow label
-				// rather than minting a fresh series per unseen variant.
-				d.variant = VariantOverflow
-				if h = durs[d.variant]; h == nil {
-					h = newDurHist()
-					durs[d.variant] = h
-				}
-			} else {
-				h = newDurHist()
-				durs[d.variant] = h
-			}
-		}
-		h.add(d.sec)
-	}
-	for {
-		select {
-		case k := <-s.outc:
-			outcomes[k]++
-		case d := <-s.durc:
-			addDur(d)
-		case req := <-s.snapc:
-			// Fold in everything already buffered, so a snapshot taken
-			// after the last Record returned reflects that record.
-		drain:
-			for {
-				select {
-				case k := <-s.outc:
-					outcomes[k]++
-				case d := <-s.durc:
-					addDur(d)
-				default:
-					break drain
-				}
-			}
-			h := histograms{
-				outcomes:  make(map[string]int64, len(outcomes)),
-				durations: make(map[string]DurationStats, len(durs)),
-			}
-			for k, v := range outcomes {
-				h.outcomes[k] = v
-			}
-			for k, v := range durs {
-				h.durations[k] = v.snapshot()
-			}
-			req <- h
-		case <-s.donec:
-			return
-		}
-	}
-}
-
-// Record folds one session result into the sink. worker indexes the
-// caller's shard; distinct concurrent callers should pass distinct
-// indices so the counters stay contention-free.
-func (s *Sink) Record(worker int, rec Record) {
-	sh := &s.shards[worker%len(s.shards)]
-	sh.sessions.Add(1)
-	if rec.Failed {
-		sh.failed.Add(1)
-	}
-	if rec.Deadlocked {
-		sh.deadlocked.Add(1)
-	}
-	sh.steps.Add(rec.Steps)
-	sh.sent.Add(rec.Sent)
-	sh.delivered.Add(rec.Delivered)
-	if rec.ProfileKey != "" {
-		select {
-		case s.outc <- rec.ProfileKey:
-		case <-s.donec:
-		}
-	}
-	if rec.Duration > 0 && rec.Variant != "" {
-		select {
-		case s.durc <- durSample{variant: rec.Variant, sec: rec.Duration.Seconds()}:
-		case <-s.donec:
-		}
-	}
-}
-
-// Totals is an aggregated snapshot of the sink — the wire shape
+// Totals is an aggregated snapshot of the farm's plays — the wire shape
 // (api.StatsTotals) embedded in /v1/stats.
 type Totals = api.StatsTotals
 
-// Snapshot sums all shards and copies the histograms.
-func (s *Sink) Snapshot() Totals {
-	var t Totals
-	for i := range s.shards {
-		sh := &s.shards[i]
-		t.Sessions += sh.sessions.Load()
-		t.Failed += sh.failed.Load()
-		t.Deadlocked += sh.deadlocked.Load()
-		t.Steps += sh.steps.Load()
-		t.MessagesSent += sh.sent.Load()
-		t.MessagesDelivered += sh.delivered.Load()
-	}
-	req := make(chan histograms, 1)
-	select {
-	case s.snapc <- req:
-		h := <-req
-		t.Outcomes = h.outcomes
-		t.Durations = h.durations
-	case <-s.donec:
-		// Closed sink: counters remain valid, histograms are gone.
-	}
-	return t
+// playStats is the farm's play aggregate: the six play counters, the
+// outcome-profile counts and one duration histogram per theorem variant,
+// under one mutex. A play is folded in before its session turns
+// terminal, so any read after Done() includes it.
+type playStats struct {
+	mu        sync.Mutex
+	tot       Totals // counters and Outcomes; Durations is built per snapshot
+	durations map[string]*obs.Histogram
 }
 
-// Close stops the collector goroutine. Counter reads stay valid; the
-// histograms are discarded.
-func (s *Sink) Close() {
-	if s.closed.CompareAndSwap(false, true) {
-		close(s.donec)
+func newPlayStats() *playStats {
+	return &playStats{
+		tot:       Totals{Outcomes: make(map[string]int64)},
+		durations: make(map[string]*obs.Histogram),
 	}
+}
+
+// record folds one session result into the aggregate.
+func (p *playStats) record(rec Record) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.tot.Sessions++
+	if rec.Failed {
+		p.tot.Failed++
+	}
+	if rec.Deadlocked {
+		p.tot.Deadlocked++
+	}
+	p.tot.Steps += rec.Steps
+	p.tot.MessagesSent += rec.Sent
+	p.tot.MessagesDelivered += rec.Delivered
+	if rec.ProfileKey != "" {
+		p.tot.Outcomes[rec.ProfileKey]++
+	}
+	if rec.Duration > 0 && rec.Variant != "" {
+		h := p.durations[rec.Variant]
+		if h == nil {
+			h = obs.NewHistogram(durBounds)
+			p.durations[rec.Variant] = h
+		}
+		h.Observe(rec.Duration.Seconds())
+	}
+}
+
+// snapshot copies the counters and renders the duration histograms.
+func (p *playStats) snapshot() Totals {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t := p.tot
+	t.Outcomes = maps.Clone(p.tot.Outcomes)
+	t.Durations = make(map[string]DurationStats, len(p.durations))
+	for v, h := range p.durations {
+		s := h.Snapshot()
+		ds := DurationStats{
+			Count:      s.Count,
+			Sum:        s.Sum,
+			P50Seconds: s.Quantile(0.50),
+			P99Seconds: s.Quantile(0.99),
+			Buckets:    s.Counts,
+		}
+		if s.Count > 0 {
+			ds.MeanSeconds = s.Sum / float64(s.Count)
+		}
+		t.Durations[v] = ds
+	}
+	return t
 }

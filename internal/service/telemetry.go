@@ -85,7 +85,7 @@ func (s *Service) sloLoop() {
 // end-to-end latency (and failure flag) to the variant objectives, each
 // protocol-phase span to the phase objectives. The exemplar carried on
 // a breaching sample is the play's retained trace.
-func (s *Service) observeSLO(view View) {
+func (s *Service) observeSLO(view View, phases []phaseSpan) {
 	if s.slo == nil {
 		return
 	}
@@ -95,23 +95,14 @@ func (s *Service) observeSLO(view View) {
 	}
 	dur := time.Duration(view.DurationSeconds * float64(time.Second))
 	s.slo.Observe(telemetry.KindVariant, view.Variant, dur, view.State == StateFailed, view.ID, traceID)
-	if view.Trace == nil {
-		return
-	}
-	for _, sp := range view.Trace.Spans {
-		switch sp.Name {
-		case "run", "sched":
-			continue // stages, not protocol phases
-		}
-		if d := sp.EndUS - sp.StartUS; d > 0 {
-			s.slo.Observe(telemetry.KindPhase, sp.Name, time.Duration(d)*time.Microsecond, false, view.ID, traceID)
-		}
+	for _, p := range phases {
+		s.slo.Observe(telemetry.KindPhase, p.name, time.Duration(p.us)*time.Microsecond, false, view.ID, traceID)
 	}
 }
 
 // retainTrace adds a terminal play's compacted trace to the ring. A
 // failed store write counts as a persist error, like a failed spill.
-func (s *Service) retainTrace(view View) {
+func (s *Service) retainTrace(view View, phases []phaseSpan) {
 	if s.traces == nil || view.Trace == nil {
 		return
 	}
@@ -122,7 +113,7 @@ func (s *Service) retainTrace(view View) {
 		State:          string(view.State),
 		DurationMS:     view.DurationSeconds * 1000,
 		FinishedUnixMS: time.Now().UnixMilli(),
-		PhaseMS:        phaseDurations(view.Trace),
+		PhaseMS:        phaseDurations(phases),
 		Spans:          len(view.Trace.Spans),
 	}
 	if err := s.traces.Add(sum, view.Trace); err != nil {
@@ -130,21 +121,43 @@ func (s *Service) retainTrace(view View) {
 	}
 }
 
-// phaseDurations folds a trace's protocol-phase spans into per-phase
-// millisecond totals — the searchable digest GET /v1/traces filters on.
-func phaseDurations(tv *api.TraceView) map[string]float64 {
-	var out map[string]float64
+// phaseSpan is one protocol-phase span of a terminal play: its phase
+// name and positive length in microseconds.
+type phaseSpan struct {
+	name string
+	us   int64
+}
+
+// protocolPhases is the one walk over a terminal play's trace: it keeps
+// the protocol-phase spans of positive length and skips the "run" and
+// "sched" stages. The phase histogram, the SLO objectives and the
+// retained-trace digest all read its result.
+func protocolPhases(tv *api.TraceView) []phaseSpan {
+	if tv == nil {
+		return nil
+	}
+	var out []phaseSpan
 	for _, sp := range tv.Spans {
 		switch sp.Name {
 		case "run", "sched":
-			continue
+			continue // stages, not protocol phases
 		}
 		if d := sp.EndUS - sp.StartUS; d > 0 {
-			if out == nil {
-				out = make(map[string]float64)
-			}
-			out[sp.Name] += float64(d) / 1000
+			out = append(out, phaseSpan{name: sp.Name, us: d})
 		}
+	}
+	return out
+}
+
+// phaseDurations sums a play's protocol phases into per-phase
+// millisecond totals — the searchable digest GET /v1/traces filters on.
+func phaseDurations(phases []phaseSpan) map[string]float64 {
+	var out map[string]float64
+	for _, p := range phases {
+		if out == nil {
+			out = make(map[string]float64)
+		}
+		out[p.name] += float64(p.us) / 1000
 	}
 	return out
 }

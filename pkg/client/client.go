@@ -39,8 +39,8 @@ var (
 	ErrPoolSaturated = errors.New("client: pool saturated")
 	// ErrNotReady: the daemon is booting or draining.
 	ErrNotReady = errors.New("client: daemon not ready")
-	// ErrPlacementInfeasible: the spec violates the paper's n > 4k+3t
-	// placement floor (or is otherwise unplaceable on any fleet).
+	// ErrPlacementInfeasible: the placement request is unplaceable on
+	// any fleet (unknown strategy or contradictory pinned peers).
 	ErrPlacementInfeasible = errors.New("client: placement infeasible")
 	// ErrFleetUnderFloor: the fleet is currently too small or unhealthy
 	// for the requested placement; retry after it recovers.
